@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-full test-race test-portable fuzz-smoke bench bench-kernels bench-json bench-gate serve-demo load-smoke docs pack-demo release-demo release-verify ci
+.PHONY: all build vet test test-full test-race test-portable servebench-test fuzz-smoke bench bench-kernels bench-json bench-gate serve-demo load-smoke docs pack-demo release-demo release-verify ci
 
 all: ci
 
@@ -33,6 +33,11 @@ test-portable:
 	VEDLIOT_CPU=avx2 $(GO) test ./internal/tensor/... ./internal/inference/...
 	VEDLIOT_CPU=avx512 $(GO) test ./internal/tensor/... ./internal/inference/...
 	$(GO) test -tags noasm ./internal/rvbackend/... ./internal/riscv/... ./internal/soc/... ./internal/cfu/...
+
+# servebench-test vets and tests the serving benchmark module, which
+# builds against the internal serving APIs from its own go.mod.
+servebench-test:
+	cd servebench && $(GO) vet . && $(GO) test -short .
 
 # fuzz-smoke runs every fuzz target briefly — the CI smoke job that
 # keeps the targets compiling and the seed corpora passing.
@@ -134,4 +139,4 @@ docs:
 	$(GO) run ./cmd/docs-check . ./internal/* ./internal/inference/ir
 	$(GO) run ./cmd/vedliot-pack verify internal/artifact/testdata/golden.vedz
 
-ci: vet build docs test test-race test-portable fuzz-smoke load-smoke release-verify bench-gate
+ci: vet build docs test test-race test-portable servebench-test fuzz-smoke load-smoke release-verify bench-gate

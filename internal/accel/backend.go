@@ -130,11 +130,6 @@ func (p *Program) Run(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tens
 	return p.exec.Run(inputs)
 }
 
-// RunBatch implements inference.Executable.
-func (p *Program) RunBatch(batches []map[string]*tensor.Tensor) ([]map[string]*tensor.Tensor, error) {
-	return p.exec.RunBatch(batches)
-}
-
 // singleRunner is the RunSingle convenience both host engines provide.
 type singleRunner interface {
 	RunSingle(*tensor.Tensor) (*tensor.Tensor, error)

@@ -128,18 +128,20 @@ func ClusterStudy() (*Report, error) {
 		r.linef("%s", line)
 	}
 	distinctAccel := map[string]bool{}
-	cpuServed, accelServed := int64(0), int64(0)
-	var fastest cluster.ReplicaStats
+	cpuServed := int64(0)
+	cheapest, dearest := st.Replicas[0], st.Replicas[0]
 	for _, rs := range st.Replicas {
 		r.metric("served_"+rs.Backend, "req", float64(rs.Served))
 		if rs.Modeled > 0 {
 			distinctAccel[rs.Backend] = true
-			accelServed += rs.Served
-			if fastest.Backend == "" || rs.Modeled < fastest.Modeled {
-				fastest = rs
-			}
 		} else {
 			cpuServed += rs.Served
+		}
+		if rs.Estimate() < cheapest.Estimate() {
+			cheapest = rs
+		}
+		if rs.Estimate() > dearest.Estimate() {
+			dearest = rs
 		}
 	}
 	r.linef("burst latency: mean %v p50 %v p95 %v | chassis max power %.1f W",
@@ -153,8 +155,8 @@ func ClusterStudy() (*Report, error) {
 		cpuServed > 0 && len(distinctAccel) >= 2)
 	r.check("every backend served requests (warm-up probes each replica)",
 		st.Completed == int64(burst) && allServed(st.Replicas))
-	r.check("cost-aware routing favors modeled-fast accelerators",
-		accelServed > cpuServed && fastest.Served > 0)
+	r.check("cost-aware routing: the lowest service estimate served more than the highest",
+		cheapest.Served > dearest.Served)
 
 	// --- Part 3: artifact deployment and the plan cache ---------------
 	if err := artifactStudy(r, g, want, in); err != nil {

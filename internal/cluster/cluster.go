@@ -13,7 +13,8 @@
 // completion cost: the backend's roofline-predicted latency (or an
 // observed EWMA for backends without a device model) scaled by the
 // replica's current queue depth, with a power-aware tie-break from the
-// chassis module power envelope.
+// chassis module power envelope. Replicas run each request as handed;
+// coalescing happens once, at the front door (internal/serve).
 package cluster
 
 import (
@@ -56,8 +57,6 @@ type Config struct {
 	// QueueDepth is the per-model admission queue capacity (default 64).
 	// Submit sheds load with ErrOverloaded once it is full.
 	QueueDepth int
-	// Serve configures each replica's batching server.
-	Serve microserver.ServeConfig
 	// EmulateLatency stretches every accelerator-backed request to its
 	// roofline-predicted latency (functional execution on the host is
 	// usually faster than the model), so trace replays exhibit the
@@ -244,16 +243,15 @@ func (s *Scheduler) deploy(g *nn.Graph, schema *nn.QuantSchema, plans *inference
 			d.closeReplicas()
 			return nil, err
 		}
-		var srv *microserver.Server
+		var exe inference.Executable
 		if plans != nil {
-			exe, _, cerr := plans.Compile(planKey(digest, backend, schemaDigest), backend, g, s.cfg.Serve.EngineOptions...)
-			if cerr == nil {
-				srv, err = microserver.ServeCompiled(g, exe, backend.Name(), s.cfg.Serve)
-			} else {
-				err = cerr
-			}
+			exe, _, err = plans.Compile(planKey(digest, backend, schemaDigest), backend, g)
 		} else {
-			srv, err = microserver.ServeBackend(g, backend, s.cfg.Serve)
+			exe, err = backend.Compile(g)
+		}
+		var srv *microserver.Server
+		if err == nil {
+			srv, err = microserver.ServeCompiled(g, exe, backend.Name())
 		}
 		if err != nil {
 			d.closeReplicas()
@@ -593,7 +591,7 @@ func (d *Deployment) drain() {
 }
 
 // dispatch routes one ticket: cost-aware replica selection, a hand-off
-// into the replica's batching queue (which blocks while the replica is
+// into the replica's queue (which blocks while the replica is
 // saturated — node-level backpressure that in turn fills the admission
 // queue and sheds load), then asynchronous completion.
 func (d *Deployment) dispatch(tk *Ticket) {
@@ -842,7 +840,7 @@ func (r *Replica) Module() string { return r.module }
 // Backend names the inference backend the replica serves with.
 func (r *Replica) Backend() string { return r.server.Backend() }
 
-// Server exposes the replica's batching server.
+// Server exposes the replica's node server.
 func (r *Replica) Server() *microserver.Server { return r.server }
 
 // Enclave exposes the replica's modeled trusted execution context, nil

@@ -43,6 +43,39 @@ func gestureInput(seed int) *tensor.Tensor {
 	return in
 }
 
+// gatedExe wraps an executable so tests can hold a replica busy: every
+// Run blocks until the gate channel yields.
+type gatedExe struct {
+	inner inference.Executable
+	gate  chan struct{}
+}
+
+func (e gatedExe) Run(in map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
+	<-e.gate
+	return e.inner.Run(in)
+}
+
+// gateReplicas rebinds every replica of d to a server whose runs wait
+// until the returned release (idempotent) is called. Call it after the
+// deploy warm-up and before the first Submit: the admission queue
+// hand-off then orders the rebind before the router's first read of a
+// replica's server.
+func gateReplicas(t *testing.T, d *Deployment, g *nn.Graph) (release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	release = sync.OnceFunc(func() { close(gate) })
+	for _, r := range d.replicas {
+		old := r.server
+		srv, err := microserver.ServeCompiled(g, gatedExe{inner: old.Executable(), gate: gate}, old.Backend())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.server = srv
+		old.Close()
+	}
+	return release
+}
+
 func TestDeployHeterogeneousFleetParity(t *testing.T) {
 	sched := NewScheduler(urecsFleet(t), Config{})
 	defer sched.Close()
@@ -140,9 +173,9 @@ func TestSubmitWaitAsync(t *testing.T) {
 }
 
 // TestAdmissionShedsWhenSaturated pins the admission-control path: with
-// a single slow replica, a tiny replica queue and a tiny admission
-// queue, an open-loop burst must shed some requests with ErrOverloaded
-// while every admitted request still resolves.
+// a single held replica and a tiny admission queue, an open-loop burst
+// larger than the replica queue must shed some requests with
+// ErrOverloaded while every admitted request still resolves.
 func TestAdmissionShedsWhenSaturated(t *testing.T) {
 	c := microserver.NewURECS()
 	m, err := microserver.FindModule("SMARC ARM")
@@ -152,20 +185,16 @@ func TestAdmissionShedsWhenSaturated(t *testing.T) {
 	if err := c.Insert(0, m); err != nil {
 		t.Fatal(err)
 	}
-	sched := NewScheduler(c, Config{
-		QueueDepth: 1,
-		Serve:      microserver.ServeConfig{MaxBatch: 1, QueueDepth: 1, MaxWait: time.Nanosecond},
-	})
+	sched := NewScheduler(c, Config{QueueDepth: 1})
 	defer sched.Close()
-	g := nn.FaceDetectNet(32, nn.BuildOptions{Weights: true, Seed: 9})
-	if _, err := sched.Deploy(g); err != nil {
+	g := gestureModel()
+	dep, err := sched.Deploy(g)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.InferShapes(1); err != nil {
-		t.Fatal(err)
-	}
-	in := tensor.New(tensor.FP32, g.Node(g.Inputs[0]).OutShape...)
-	ins := map[string]*tensor.Tensor{g.Inputs[0]: in}
+	release := gateReplicas(t, dep, g)
+	defer release()
+	ins := map[string]*tensor.Tensor{g.Inputs[0]: gestureInput(1)}
 
 	const burst = 50
 	var tickets []*Ticket
@@ -184,6 +213,7 @@ func TestAdmissionShedsWhenSaturated(t *testing.T) {
 	if shed == 0 {
 		t.Error("saturated fleet shed no load; want ErrOverloaded for part of the burst")
 	}
+	release()
 	for i, tk := range tickets {
 		if _, err := tk.Wait(); err != nil {
 			t.Errorf("admitted ticket %d failed: %v", i, err)
@@ -250,12 +280,14 @@ func TestCloseRacingSubmit(t *testing.T) {
 // TestRoutingPrefersFastestAtLowLoad runs strictly sequential requests
 // (queue depth always zero at routing time), where the cost model
 // reduces to the pure service estimate: every request must land on the
-// replica with the lowest estimate.
+// replica with the lowest estimate. The fleet is the two accelerator
+// slots, whose estimates are modeled and fixed; a host CPU replica's
+// estimate is measured and may legitimately overtake theirs mid-run.
 func TestRoutingPrefersFastestAtLowLoad(t *testing.T) {
 	sched := NewScheduler(urecsFleet(t), Config{})
 	defer sched.Close()
 	g := gestureModel()
-	dep, err := sched.Deploy(g)
+	dep, err := sched.DeployOn(g, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,16 +437,15 @@ func TestSubmitCtxCancelPropagation(t *testing.T) {
 	if err := c.Insert(0, m); err != nil {
 		t.Fatal(err)
 	}
-	sched := NewScheduler(c, Config{
-		QueueDepth: 64,
-		Serve:      microserver.ServeConfig{MaxBatch: 1, QueueDepth: 1, MaxWait: time.Nanosecond},
-	})
+	sched := NewScheduler(c, Config{QueueDepth: 64})
 	defer sched.Close()
 	g := gestureModel()
 	dep, err := sched.Deploy(g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	release := gateReplicas(t, dep, g)
+	defer release()
 	ins := map[string]*tensor.Tensor{g.Inputs[0]: gestureInput(3)}
 
 	// Dead context: refused before admission, no ticket minted.
@@ -424,7 +455,7 @@ func TestSubmitCtxCancelPropagation(t *testing.T) {
 		t.Fatalf("dead-context submit returned %v, want context.Canceled", err)
 	}
 
-	// Pile live work onto the single slow replica, then queue a ticket
+	// Pile live work onto the single held replica, then queue a ticket
 	// whose caller vanishes while it waits. It must resolve with the
 	// context error and never as a silent success-after-cancel.
 	var live []*Ticket
@@ -441,6 +472,7 @@ func TestSubmitCtxCancelPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cancel()
+	release()
 	if _, err := doomed.Wait(); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled ticket resolved with %v, want context.Canceled", err)
 	}

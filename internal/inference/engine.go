@@ -12,7 +12,7 @@ import (
 
 // Executable is a compiled model ready to run. Both the host CPU Engine
 // and the simulated-accelerator programs (internal/accel) satisfy it, so
-// the layers above (kenning targets, the microserver batch server, the
+// the layers above (kenning targets, the microserver node server, the
 // bench harness) schedule work against one interface regardless of the
 // execution target — the same role the paper's common toolchain plays
 // across heterogeneous accelerators.
@@ -20,9 +20,6 @@ type Executable interface {
 	// Run executes one batch of inputs keyed by input-node name and
 	// returns the declared outputs.
 	Run(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error)
-	// RunBatch executes several independent requests in one dispatch,
-	// amortizing per-call overhead; result i corresponds to request i.
-	RunBatch(batches []map[string]*tensor.Tensor) ([]map[string]*tensor.Tensor, error)
 }
 
 // Backend compiles graphs into executables for one execution target.
@@ -477,6 +474,9 @@ func resolveBatchedInputs(inputNames []string, per []tensor.Shape, inputs map[st
 			bufs[i] = t.F32
 		} else {
 			bufs[i] = t.Float32s()
+		}
+		if n, err := t.Shape.CheckedNumElements(); err != nil || len(bufs[i]) != n {
+			return nil, 0, fmt.Errorf("inference: input %q carries %d elements for shape %v", name, len(bufs[i]), t.Shape)
 		}
 	}
 	if batch <= 0 {

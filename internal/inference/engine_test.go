@@ -140,6 +140,20 @@ func TestEngineRunBatch(t *testing.T) {
 	}
 }
 
+// TestEngineRejectsInconsistentInput runs a tensor whose shape claims
+// far more elements than its data holds (the claimed count overflows
+// to zero): Run must fail instead of sizing outputs from the shape.
+func TestEngineRejectsInconsistentInput(t *testing.T) {
+	g := nn.MLP("mlp", []int{784, 10}, nn.BuildOptions{Weights: true, Seed: 3})
+	eng := mustCompile(t, g)
+	for _, shape := range []tensor.Shape{{1 << 62, 784}, {2, 784}} {
+		in := &tensor.Tensor{Shape: shape, DType: tensor.FP32, F32: make([]float32, 784)}
+		if _, err := eng.Run(map[string]*tensor.Tensor{g.Inputs[0]: in}); err == nil {
+			t.Errorf("Run accepted shape %v over %d elements", shape, len(in.F32))
+		}
+	}
+}
+
 func TestEngineGoroutineSafety(t *testing.T) {
 	g := nn.LeNet(28, 10, nn.BuildOptions{Weights: true, Seed: 12})
 	eng := mustCompile(t, g)

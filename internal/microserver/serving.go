@@ -4,49 +4,25 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"vedliot/internal/inference"
 	"vedliot/internal/nn"
 	"vedliot/internal/tensor"
 )
 
-// ServeConfig tunes a node's inference server.
-type ServeConfig struct {
-	// MaxBatch is the largest number of queued requests fused into one
-	// engine dispatch (default 8).
-	MaxBatch int
-	// MaxWait bounds how long the dispatcher waits for the batch to
-	// fill after the first request arrives (default 2ms). Zero keeps
-	// the default; latency-critical nodes can set it to a nanosecond.
-	MaxWait time.Duration
-	// QueueDepth is the request channel capacity (default 4*MaxBatch).
-	QueueDepth int
-	// EngineOptions configure compilation on the serving backend (for
-	// the CPU backend these are the host-engine options).
-	EngineOptions []inference.Option
-}
-
-func (c ServeConfig) withDefaults() ServeConfig {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4 * c.MaxBatch
-	}
-	return c
-}
+// queueDepth is a server's request channel capacity: room for a short
+// burst of front-door batches before the node pushes back. A full queue
+// blocks the submitter, which is the node-level backpressure the fleet
+// router leans on.
+const queueDepth = 32
 
 // ServeStats is a server's cumulative telemetry, the serving-side
 // counterpart of the chassis Monitoring snapshots.
 type ServeStats struct {
+	// Requests counts submissions run on the executable; Batches counts
+	// the dispatches that ran them, one per submission.
 	Requests int64
 	Batches  int64
-	// MaxBatch is the largest batch actually dispatched.
-	MaxBatch int
 	// Cancelled counts requests whose context was cancelled while they
 	// were still queued: they are completed with the context error
 	// without ever reaching the engine, so a disconnected client stops
@@ -55,33 +31,24 @@ type ServeStats struct {
 	Cancelled int64
 }
 
-// MeanBatch returns the average number of requests fused per dispatch.
-func (s ServeStats) MeanBatch() float64 {
-	if s.Batches == 0 {
-		return 0
-	}
-	return float64(s.Requests) / float64(s.Batches)
-}
-
 // Server is one microserver node's inference service: a single compiled
-// executable shared by all clients, fed through a batching queue.
-// Concurrent Infer/InferMap calls are coalesced into RunBatch
-// dispatches, which amortizes per-call overhead and hands the parallel
-// kernels larger work items — the "serve as fast as the hardware
-// allows" path for a module hosting a DL workload.
+// executable shared by all clients, fed through a bounded queue that
+// one dispatcher goroutine drains in arrival order. Every submission
+// runs as its own Executable.Run: requests are coalesced once, at the
+// front door (internal/serve), and reach the node already batched, so
+// the node adds no wait of its own.
 //
-// The server is backend-generic: it fronts whatever
-// inference.Backend compiled the model — the host CPU engine or any
-// simulated accelerator (accel.Backend) mounted in a chassis slot. The
-// fleet layer (internal/cluster) builds one Server per device and
-// routes traffic across them.
+// The server is backend-generic: it fronts whatever executable an
+// inference.Backend compiled — the host CPU engine, a simulated
+// accelerator (accel.Backend) or SoC firmware mounted in a chassis
+// slot. The fleet layer (internal/cluster) builds one Server per
+// device and routes traffic across them.
 type Server struct {
 	exe         inference.Executable
 	backendName string
 	graphName   string
 	inputNames  []string
 	outputNames []string
-	cfg         ServeConfig
 
 	reqs chan *request
 	quit chan struct{}
@@ -106,42 +73,19 @@ type request struct {
 	done chan struct{}
 }
 
-// Serve compiles the graph on the host CPU backend and starts the
-// dispatcher — the historical single-node entry point, now a thin
-// wrapper over ServeBackend.
-func Serve(g *nn.Graph, cfg ServeConfig) (*Server, error) {
-	return ServeBackend(g, inference.CPUBackend{}, cfg)
-}
-
-// ServeBackend compiles the graph for the given backend and starts the
-// dispatcher. Graphs with any number of inputs and outputs are served:
-// full input/output maps flow through the batching queue (InferMap);
-// the single-tensor Infer shortcut additionally requires the 1-in/1-out
-// serving shape.
-func ServeBackend(g *nn.Graph, b inference.Backend, cfg ServeConfig) (*Server, error) {
-	if b == nil {
-		return nil, fmt.Errorf("microserver: nil backend")
-	}
-	if len(g.Inputs) == 0 || len(g.Outputs) == 0 {
-		return nil, fmt.Errorf("microserver: graph %q has %d inputs/%d outputs, need at least 1/1",
-			g.Name, len(g.Inputs), len(g.Outputs))
-	}
-	cfg = cfg.withDefaults()
-	exe, err := b.Compile(g, cfg.EngineOptions...)
-	if err != nil {
-		return nil, fmt.Errorf("microserver: compile %q for %s: %w", g.Name, b.Name(), err)
-	}
-	return ServeCompiled(g, exe, b.Name(), cfg)
-}
-
 // ServeCompiled starts the dispatcher over an already-compiled
-// executable — the plan-cache deployment path (inference.PlanCache):
-// when several replicas of one artifact share a backend, the fleet
-// layer compiles once and binds every server to the shared plan, so a
-// replica cold-start skips lowering entirely. The executable must be
-// safe for concurrent Run (both host engines and accel programs are);
-// Close releases only the server, never the shared plan.
-func ServeCompiled(g *nn.Graph, exe inference.Executable, backendName string, cfg ServeConfig) (*Server, error) {
+// executable; backendName labels the backend that compiled it. Graphs
+// with any number of inputs and outputs are served: full input/output
+// maps flow through the queue (InferMap); the single-tensor Infer
+// shortcut additionally requires the 1-in/1-out serving shape.
+//
+// When several replicas of one artifact share a backend, the fleet
+// layer compiles once through the plan cache (inference.PlanCache) and
+// binds every server to the shared plan, so a replica cold-start skips
+// lowering entirely. The executable must be safe for concurrent Run
+// (host engines, accel programs and SoC firmware are); Close releases
+// only the server, never the plan.
+func ServeCompiled(g *nn.Graph, exe inference.Executable, backendName string) (*Server, error) {
 	if exe == nil {
 		return nil, fmt.Errorf("microserver: nil executable")
 	}
@@ -149,15 +93,13 @@ func ServeCompiled(g *nn.Graph, exe inference.Executable, backendName string, cf
 		return nil, fmt.Errorf("microserver: graph %q has %d inputs/%d outputs, need at least 1/1",
 			g.Name, len(g.Inputs), len(g.Outputs))
 	}
-	cfg = cfg.withDefaults()
 	s := &Server{
 		exe:         exe,
 		backendName: backendName,
 		graphName:   g.Name,
 		inputNames:  append([]string(nil), g.Inputs...),
 		outputNames: append([]string(nil), g.Outputs...),
-		cfg:         cfg,
-		reqs:        make(chan *request, cfg.QueueDepth),
+		reqs:        make(chan *request, queueDepth),
 		quit:        make(chan struct{}),
 	}
 	s.wg.Add(1)
@@ -186,9 +128,8 @@ func (s *Server) Engine() *inference.Engine {
 
 // Infer submits one input and blocks until its result is ready — the
 // single-tensor shortcut for 1-input/1-output graphs. Safe for
-// concurrent use; concurrent callers share dispatches. The input
-// carries a leading batch dimension ([1, ...] for one sample; larger
-// batches are allowed and fused with the queue like any other request).
+// concurrent use. The input carries a leading batch dimension ([1, ...]
+// for one sample; larger batches run as one dispatch).
 func (s *Server) Infer(in *tensor.Tensor) (*tensor.Tensor, error) {
 	if len(s.inputNames) != 1 || len(s.outputNames) != 1 {
 		return nil, fmt.Errorf("microserver: Infer wants 1 input/1 output, graph %q has %d/%d (use InferMap)",
@@ -203,8 +144,7 @@ func (s *Server) Infer(in *tensor.Tensor) (*tensor.Tensor, error) {
 
 // InferMap submits a full input map (keyed by input-node name) and
 // blocks until the full output map is ready — the general serving path
-// for multi-head graphs. Safe for concurrent use; concurrent callers
-// share dispatches.
+// for multi-head graphs. Safe for concurrent use.
 func (s *Server) InferMap(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
 	p, err := s.SubmitMap(inputs)
 	if err != nil {
@@ -213,7 +153,7 @@ func (s *Server) InferMap(inputs map[string]*tensor.Tensor) (map[string]*tensor.
 	return p.Wait()
 }
 
-// SubmitMap hands a request to the batching queue without waiting for
+// SubmitMap hands a request to the queue without waiting for
 // its result; the returned Pending resolves through Wait. The enqueue
 // blocks while the queue is full, which is the node-level backpressure
 // the fleet router leans on.
@@ -247,7 +187,7 @@ func (s *Server) SubmitMapCtx(ctx context.Context, inputs map[string]*tensor.Ten
 	}
 }
 
-// Pending is a request accepted into the batching queue.
+// Pending is a request accepted into the queue.
 type Pending struct{ r *request }
 
 // Wait blocks until the request's dispatch resolves.
@@ -289,28 +229,13 @@ func (s *Server) dispatch() {
 			return
 		default:
 		}
-		var first *request
 		select {
-		case first = <-s.reqs:
+		case r := <-s.reqs:
+			s.run(r)
 		case <-s.quit:
 			s.drain()
 			return
 		}
-		pending := []*request{first}
-		timer := time.NewTimer(s.cfg.MaxWait)
-	collect:
-		for len(pending) < s.cfg.MaxBatch {
-			select {
-			case r := <-s.reqs:
-				pending = append(pending, r)
-			case <-timer.C:
-				break collect
-			case <-s.quit:
-				break collect
-			}
-		}
-		timer.Stop()
-		s.runBatch(pending)
 	}
 }
 
@@ -327,59 +252,24 @@ func (s *Server) drain() {
 	}
 }
 
-func (s *Server) runBatch(pending []*request) {
-	// Drop requests whose caller vanished while they were queued: they
-	// complete with the context error and never reach the engine.
-	live := pending[:0]
-	cancelled := 0
-	for _, r := range pending {
-		if r.ctx != nil {
-			if err := r.ctx.Err(); err != nil {
-				r.err = err
-				close(r.done)
-				cancelled++
-				continue
-			}
-		}
-		live = append(live, r)
-	}
-	pending = live
-	if cancelled > 0 {
-		s.statsMu.Lock()
-		s.stats.Cancelled += int64(cancelled)
-		s.statsMu.Unlock()
-	}
-	if len(pending) == 0 {
-		return
-	}
-	batches := make([]map[string]*tensor.Tensor, len(pending))
-	for i, r := range pending {
-		batches[i] = r.ins
-	}
-	outs, err := s.exe.RunBatch(batches)
-	if err != nil {
-		// One malformed input fails a fused dispatch; retry requests
-		// individually so only the offender sees the error.
-		for i, r := range pending {
-			out, rerr := s.exe.Run(batches[i])
-			if rerr != nil {
-				r.err = rerr
-			} else {
-				r.outs = out
-			}
-			close(r.done)
-		}
+// run executes one request, unless its caller vanished while it was
+// queued: then it completes with the context error and never reaches
+// the engine. Stats are updated before the request resolves, so a
+// caller returning from Wait sees its own request counted.
+func (s *Server) run(r *request) {
+	err := r.ctx.Err()
+	if err == nil {
+		r.outs, r.err = s.exe.Run(r.ins)
 	} else {
-		for i, r := range pending {
-			r.outs = outs[i]
-			close(r.done)
-		}
+		r.err = err
 	}
 	s.statsMu.Lock()
-	s.stats.Requests += int64(len(pending))
-	s.stats.Batches++
-	if len(pending) > s.stats.MaxBatch {
-		s.stats.MaxBatch = len(pending)
+	if err == nil {
+		s.stats.Requests++
+		s.stats.Batches++
+	} else {
+		s.stats.Cancelled++
 	}
 	s.statsMu.Unlock()
+	close(r.done)
 }

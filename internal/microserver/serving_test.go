@@ -13,14 +13,24 @@ import (
 	"vedliot/internal/tensor"
 )
 
-func servedModel(t *testing.T, cfg ServeConfig) (*Server, *nn.Graph) {
+// serveCPU compiles g on the host CPU backend and serves it.
+func serveCPU(t *testing.T, g *nn.Graph) *Server {
 	t.Helper()
-	g := nn.GestureNet(16, 4, nn.BuildOptions{Weights: true, Seed: 77})
-	s, err := Serve(g, cfg)
+	exe, err := inference.Compile(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, g
+	s, err := ServeCompiled(g, exe, inference.CPUBackend{}.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func servedModel(t *testing.T) (*Server, *nn.Graph) {
+	t.Helper()
+	g := nn.GestureNet(16, 4, nn.BuildOptions{Weights: true, Seed: 77})
+	return serveCPU(t, g), g
 }
 
 func gestureInput(seed int) *tensor.Tensor {
@@ -32,7 +42,7 @@ func gestureInput(seed int) *tensor.Tensor {
 }
 
 func TestServeMatchesDirectEngine(t *testing.T) {
-	s, g := servedModel(t, ServeConfig{})
+	s, g := servedModel(t)
 	defer s.Close()
 	eng, err := inference.Compile(g)
 	if err != nil {
@@ -53,7 +63,7 @@ func TestServeMatchesDirectEngine(t *testing.T) {
 }
 
 func TestServeBatchesConcurrentClients(t *testing.T) {
-	s, g := servedModel(t, ServeConfig{MaxBatch: 8, MaxWait: 20 * time.Millisecond})
+	s, g := servedModel(t)
 	defer s.Close()
 	eng, err := inference.Compile(g)
 	if err != nil {
@@ -88,15 +98,14 @@ func TestServeBatchesConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+	// Coalescing is the front door's job: the node runs every
+	// submission as its own dispatch.
 	st := s.Stats()
 	if st.Requests != clients {
 		t.Errorf("stats recorded %d requests, want %d", st.Requests, clients)
 	}
-	if st.Batches >= clients {
-		t.Errorf("no batching: %d dispatches for %d requests", st.Batches, clients)
-	}
-	if st.MeanBatch() <= 1 {
-		t.Errorf("mean batch = %v, want > 1", st.MeanBatch())
+	if st.Batches != st.Requests {
+		t.Errorf("%d dispatches for %d requests, want one each", st.Batches, st.Requests)
 	}
 }
 
@@ -105,7 +114,7 @@ type shapeErr struct{ d float64 }
 func (e *shapeErr) Error() string { return "served result diverges" }
 
 func TestServeBadRequestFailsAlone(t *testing.T) {
-	s, _ := servedModel(t, ServeConfig{MaxBatch: 4, MaxWait: 20 * time.Millisecond})
+	s, _ := servedModel(t)
 	defer s.Close()
 	var wg sync.WaitGroup
 	goodErr := make(chan error, 1)
@@ -131,7 +140,7 @@ func TestServeBadRequestFailsAlone(t *testing.T) {
 }
 
 func TestServeClose(t *testing.T) {
-	s, _ := servedModel(t, ServeConfig{})
+	s, _ := servedModel(t)
 	s.Close()
 	s.Close() // idempotent
 	if _, err := s.Infer(gestureInput(1)); err == nil {
@@ -151,10 +160,7 @@ func multiHeadGraph() *nn.Graph {
 
 func TestServeMultiHeadGraph(t *testing.T) {
 	g := multiHeadGraph()
-	s, err := Serve(g, ServeConfig{MaxBatch: 4, MaxWait: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := serveCPU(t, g)
 	defer s.Close()
 	eng, err := inference.Compile(g)
 	if err != nil {
@@ -169,7 +175,7 @@ func TestServeMultiHeadGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Concurrent clients so the full maps flow through fused dispatches.
+	// Concurrent clients so the full maps flow through the shared queue.
 	const clients = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
@@ -205,13 +211,18 @@ func TestServeMultiHeadGraph(t *testing.T) {
 	}
 }
 
-func TestServeBackendGeneric(t *testing.T) {
+func TestServerIsBackendGeneric(t *testing.T) {
 	g := nn.GestureNet(16, 4, nn.BuildOptions{Weights: true, Seed: 77})
 	dev, err := accel.FindDevice("Xavier NX")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := ServeBackend(g, accel.NewBackend(dev), ServeConfig{})
+	b := accel.NewBackend(dev)
+	exe, err := b.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := ServeCompiled(g, exe, b.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,23 +251,8 @@ func TestServeBackendGeneric(t *testing.T) {
 	}
 }
 
-// gatedBackend wraps a backend so tests can hold a dispatch in flight:
-// every Run/RunBatch blocks until the gate channel yields.
-type gatedBackend struct {
-	inner inference.Backend
-	gate  chan struct{}
-}
-
-func (b gatedBackend) Name() string { return "gated:" + b.inner.Name() }
-
-func (b gatedBackend) Compile(g *nn.Graph, opts ...inference.Option) (inference.Executable, error) {
-	exe, err := b.inner.Compile(g, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return gatedExe{inner: exe, gate: b.gate}, nil
-}
-
+// gatedExe wraps an executable so tests can hold a dispatch in flight:
+// every Run blocks until the gate channel yields.
 type gatedExe struct {
 	inner inference.Executable
 	gate  chan struct{}
@@ -267,9 +263,18 @@ func (e gatedExe) Run(in map[string]*tensor.Tensor) (map[string]*tensor.Tensor, 
 	return e.inner.Run(in)
 }
 
-func (e gatedExe) RunBatch(b []map[string]*tensor.Tensor) ([]map[string]*tensor.Tensor, error) {
-	<-e.gate
-	return e.inner.RunBatch(b)
+// gatedServer serves g on the host CPU engine behind a gatedExe.
+func gatedServer(t *testing.T, g *nn.Graph, gate chan struct{}) *Server {
+	t.Helper()
+	exe, err := inference.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := ServeCompiled(g, gatedExe{inner: exe, gate: gate}, "gated:cpu-engine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // TestServeDrainFailsQueued pins the shutdown drain path: requests
@@ -277,12 +282,7 @@ func (e gatedExe) RunBatch(b []map[string]*tensor.Tensor) ([]map[string]*tensor.
 func TestServeDrainFailsQueued(t *testing.T) {
 	g := nn.GestureNet(16, 4, nn.BuildOptions{Weights: true, Seed: 77})
 	gate := make(chan struct{})
-	s, err := ServeBackend(g, gatedBackend{inner: inference.CPUBackend{}, gate: gate}, ServeConfig{
-		MaxBatch: 1, MaxWait: time.Nanosecond, QueueDepth: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := gatedServer(t, g, gate)
 	infer := func(res chan error) {
 		_, err := s.Infer(gestureInput(1))
 		res <- err
@@ -340,7 +340,7 @@ func TestServeDrainFailsQueued(t *testing.T) {
 // Close lands mid-storm: every call must resolve (result or closed
 // error) and the server must shut down cleanly.
 func TestServeInferRacingClose(t *testing.T) {
-	s, _ := servedModel(t, ServeConfig{MaxBatch: 4, MaxWait: time.Millisecond})
+	s, _ := servedModel(t)
 	const clients = 24
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
@@ -372,57 +372,6 @@ func TestServeInferRacingClose(t *testing.T) {
 	}
 }
 
-// TestServeFusedBatchFailureIsolation forces three requests into one
-// fused dispatch with one malformed input: the dispatch fails, the
-// individual retry isolates the offender, and the well-formed requests
-// still succeed with engine-exact results.
-func TestServeFusedBatchFailureIsolation(t *testing.T) {
-	s, g := servedModel(t, ServeConfig{MaxBatch: 3, MaxWait: 2 * time.Second})
-	defer s.Close()
-	eng, err := inference.Compile(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	goodIn := gestureInput(1)
-	want, err := eng.RunSingle(goodIn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	goodA, goodB, bad := make(chan error, 1), make(chan error, 1), make(chan error, 1)
-	run := func(in *tensor.Tensor, res chan error, check bool) {
-		defer wg.Done()
-		out, err := s.Infer(in)
-		if err == nil && check {
-			if d, _ := tensor.MaxAbsDiff(want, out); d != 0 {
-				err = &shapeErr{d}
-			}
-		}
-		res <- err
-	}
-	wg.Add(3)
-	go run(goodIn, goodA, true)
-	go run(tensor.New(tensor.FP32, 1, 3, 16, 16), bad, false) // wrong channels
-	go run(goodIn, goodB, true)
-	wg.Wait()
-	if err := <-goodA; err != nil {
-		t.Errorf("well-formed request A failed: %v", err)
-	}
-	if err := <-goodB; err != nil {
-		t.Errorf("well-formed request B failed: %v", err)
-	}
-	if err := <-bad; err == nil {
-		t.Error("malformed request succeeded")
-	}
-	st := s.Stats()
-	if st.Batches != 1 {
-		t.Errorf("requests split across %d dispatches, want 1 fused batch", st.Batches)
-	}
-	if st.MaxBatch != 3 {
-		t.Errorf("fused batch size %d, want 3", st.MaxBatch)
-	}
-}
-
 func TestServeCompiledSharesOnePlan(t *testing.T) {
 	g := nn.GestureNet(16, 4, nn.BuildOptions{Weights: true, Seed: 77})
 	exe, err := inference.Compile(g)
@@ -431,12 +380,12 @@ func TestServeCompiledSharesOnePlan(t *testing.T) {
 	}
 	// Two servers over one shared compiled plan — the plan-cache
 	// deployment shape.
-	a, err := ServeCompiled(g, exe, "cpu-engine", ServeConfig{})
+	a, err := ServeCompiled(g, exe, "cpu-engine")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := ServeCompiled(g, exe, "cpu-engine", ServeConfig{})
+	b, err := ServeCompiled(g, exe, "cpu-engine")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,31 +420,42 @@ func TestServeCompiledSharesOnePlan(t *testing.T) {
 
 func TestServeCompiledValidates(t *testing.T) {
 	g := nn.GestureNet(16, 4, nn.BuildOptions{Weights: true, Seed: 77})
-	if _, err := ServeCompiled(g, nil, "cpu-engine", ServeConfig{}); err == nil {
+	if _, err := ServeCompiled(g, nil, "cpu-engine"); err == nil {
 		t.Fatal("nil executable accepted")
 	}
 }
 
 // TestSubmitMapCtxCancelledBeforeDispatch pins the context path through
-// the batch queue: a request whose context dies while it is still
-// queued must resolve with the context error without ever reaching the
-// engine, and must not count as a served request.
+// the queue: a request whose context dies while it is still queued must
+// resolve with the context error without ever reaching the engine, and
+// must not count as a served request. The gate holds the dispatcher on
+// the request ahead, so the cancelled one is provably still queued.
 func TestSubmitMapCtxCancelledBeforeDispatch(t *testing.T) {
-	s, g := servedModel(t, ServeConfig{MaxBatch: 4, MaxWait: 40 * time.Millisecond})
+	g := nn.GestureNet(16, 4, nn.BuildOptions{Weights: true, Seed: 77})
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	s := gatedServer(t, g, gate)
 	defer s.Close()
+	defer release()
 	ins := map[string]*tensor.Tensor{g.Inputs[0]: gestureInput(1)}
 
+	ahead, err := s.SubmitMapCtx(context.Background(), ins)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	doomed, err := s.SubmitMapCtx(ctx, ins)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The dispatcher is now inside its 40ms collect window. Cancel the
-	// first request and add a live one; both land in the same dispatch.
 	cancel()
 	live, err := s.SubmitMapCtx(context.Background(), ins)
 	if err != nil {
 		t.Fatal(err)
+	}
+	release()
+	if _, err := ahead.Wait(); err != nil {
+		t.Errorf("request ahead failed: %v", err)
 	}
 	if _, err := doomed.Wait(); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled request resolved with %v, want context.Canceled", err)
@@ -507,8 +467,8 @@ func TestSubmitMapCtxCancelledBeforeDispatch(t *testing.T) {
 	if st.Cancelled != 1 {
 		t.Errorf("stats recorded %d cancelled, want 1", st.Cancelled)
 	}
-	if st.Requests != 1 {
-		t.Errorf("stats recorded %d dispatched requests, want 1 (cancelled must not count)", st.Requests)
+	if st.Requests != 2 {
+		t.Errorf("stats recorded %d dispatched requests, want 2 (cancelled must not count)", st.Requests)
 	}
 
 	// An already-dead context is refused at submission.

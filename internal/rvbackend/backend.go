@@ -269,20 +269,6 @@ func (p *Program) runSample(bufs [][]float32, s int) (uint64, error) {
 	return uint64(le.Uint32(ram[mb:])) | uint64(le.Uint32(ram[mb+4:]))<<32, nil
 }
 
-// RunBatch implements inference.Executable; the SoC executes sample by
-// sample, so requests dispatch sequentially.
-func (p *Program) RunBatch(batches []map[string]*tensor.Tensor) ([]map[string]*tensor.Tensor, error) {
-	outs := make([]map[string]*tensor.Tensor, len(batches))
-	for i, in := range batches {
-		out, err := p.Run(in)
-		if err != nil {
-			return nil, err
-		}
-		outs[i] = out
-	}
-	return outs, nil
-}
-
 // CyclesPerInference returns the firmware-measured per-sample cycle
 // count from the most recent Run (the warmup inference at compile time
 // seeds it).

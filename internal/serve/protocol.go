@@ -215,17 +215,19 @@ func (d *decoder) tensorMap() (map[string]*tensor.Tensor, error) {
 		if err != nil {
 			return nil, err
 		}
-		shape := make([]int, rank)
-		elems := 1
+		shape := make(tensor.Shape, rank)
 		for j := range shape {
 			dim, err := d.u32()
 			if err != nil {
 				return nil, err
 			}
 			shape[j] = int(dim)
-			elems *= int(dim)
 		}
-		if elems < 0 || d.off+4*elems > len(d.b) {
+		elems, err := shape.CheckedNumElements()
+		if err != nil {
+			return nil, fmt.Errorf("serve: tensor %q: %w", name, err)
+		}
+		if elems > (len(d.b)-d.off)/4 {
 			return nil, io.ErrUnexpectedEOF
 		}
 		t := tensor.New(tensor.FP32, shape...)

@@ -3,15 +3,19 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"vedliot/internal/artifact"
 	"vedliot/internal/cluster"
 	"vedliot/internal/inference"
 	"vedliot/internal/microserver"
@@ -52,21 +56,86 @@ func testInput(seed int) *tensor.Tensor {
 func startServer(t *testing.T, n int, clCfg cluster.Config, cfg Config) (*Server, *cluster.Scheduler, *nn.Graph) {
 	t.Helper()
 	sched := cluster.NewScheduler(armFleet(t, n), clCfg)
+	t.Cleanup(sched.Close)
 	g := testModel()
 	if _, err := sched.Deploy(g); err != nil {
-		sched.Close()
 		t.Fatal(err)
 	}
+	return listen(t, sched, cfg), sched, g
+}
+
+// listen serves sched on a loopback socket until the test ends.
+func listen(t *testing.T, sched *cluster.Scheduler, cfg Config) *Server {
+	t.Helper()
 	srv, err := Listen("127.0.0.1:0", sched, cfg)
 	if err != nil {
-		sched.Close()
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		srv.Close()
-		sched.Close()
-	})
-	return srv, sched, g
+	t.Cleanup(func() { srv.Close() })
+	return srv
+}
+
+// heldExe is an executable (and the backend that compiles to it) whose
+// runs can be held: hold parks every later Run until release, so a
+// burst backs up into admission without relying on timing.
+type heldExe struct {
+	inner inference.Executable
+	mu    sync.RWMutex
+}
+
+func (h *heldExe) Name() string { return inference.CPUBackend{}.Name() }
+
+func (h *heldExe) Compile(*nn.Graph, ...inference.Option) (inference.Executable, error) {
+	return h, nil
+}
+
+func (h *heldExe) Run(in map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return h.inner.Run(in)
+}
+
+// hold parks every later Run; the returned release (idempotent) lets
+// them go.
+func (h *heldExe) hold() (release func()) {
+	h.mu.Lock()
+	return sync.OnceFunc(h.mu.Unlock)
+}
+
+// deployHeld deploys the test model on one replica that runs a heldExe.
+// The held plan reaches the replica through the registry's plan cache,
+// seeded under the key the artifact deploy path looks up for the host
+// CPU backend; the test fails if the replica bound anything else.
+func deployHeld(t *testing.T, clCfg cluster.Config) (*cluster.Scheduler, *nn.Graph, *heldExe) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "held.vedz")
+	if err := artifact.Save(path, &artifact.Model{Graph: testModel()}); err != nil {
+		t.Fatal(err)
+	}
+	clCfg.Registry = cluster.NewRegistry()
+	m, err := clCfg.Registry.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exe, err := inference.Compile(m.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := &heldExe{inner: exe}
+	key := m.Digest + "|" + held.Name()
+	if _, _, err := clCfg.Registry.Plans().Compile(key, held, m.Graph); err != nil {
+		t.Fatal(err)
+	}
+	sched := cluster.NewScheduler(armFleet(t, 1), clCfg)
+	t.Cleanup(sched.Close)
+	dep, err := sched.DeployArtifact(m.Graph.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dep.Replicas()[0].Server().Executable(); got != inference.Executable(held) {
+		t.Fatalf("replica runs %T, not the held plan", got)
+	}
+	return sched, m.Graph, held
 }
 
 func TestTensorMapRoundTrip(t *testing.T) {
@@ -109,6 +178,80 @@ func TestTensorMapRoundTrip(t *testing.T) {
 		if !want.Shape.Equal(got[name].Shape) {
 			t.Errorf("tensor %q shape %v, want %v", name, got[name].Shape, want.Shape)
 		}
+	}
+}
+
+// overflowTensorMap is a 15-byte encoded tensor map whose one tensor
+// declares dims [1<<31, 1<<31]: the element count overflows, and an
+// unchecked decoder computes a zero-byte payload and then allocates
+// the full product.
+func overflowTensorMap() []byte {
+	b := binary.LittleEndian.AppendUint16(nil, 1)
+	b = appendString(b, "x")
+	b = append(b, dtFP32, 2)
+	b = binary.LittleEndian.AppendUint32(b, 1<<31)
+	return binary.LittleEndian.AppendUint32(b, 1<<31)
+}
+
+func TestTensorMapRejectsOverflowingDims(t *testing.T) {
+	b := overflowTensorMap()
+	if len(b) != 15 {
+		t.Fatalf("encoded %d bytes, want 15", len(b))
+	}
+	d := decoder{b: b}
+	if m, err := d.tensorMap(); err == nil {
+		t.Fatalf("decoded %d tensors from an overflowing shape", len(m))
+	}
+}
+
+// TestServerSurvivesOverflowingFrame sends the overflowing tensor map
+// to a live server: the request is refused as bad, and the next
+// well-formed request on the same connection is still served.
+func TestServerSurvivesOverflowingFrame(t *testing.T) {
+	srv, _, g := startServer(t, 1, cluster.Config{}, Config{})
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fr := newFrameReader(conn, 0)
+	reply := func(id uint64, payload []byte) (byte, decoder) {
+		t.Helper()
+		b := beginFrame(TypeRequest, id, 0)
+		b = appendString(b, g.Name)
+		b = finishFrame(append(b, payload...))
+		if _, err := conn.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		f, err := fr.next()
+		if err != nil {
+			t.Fatalf("request %d: no reply: %v", id, err)
+		}
+		if f.typ != TypeReply || f.id != id {
+			t.Fatalf("request %d: frame (%d, %d), want a reply", id, f.typ, f.id)
+		}
+		status, err := f.body.u8()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return status, f.body
+	}
+	if status, _ := reply(1, overflowTensorMap()); status != StatusBadRequest {
+		t.Errorf("overflowing tensor map got status %d, want %d", status, StatusBadRequest)
+	}
+	good, err := appendTensorMap(nil, map[string]*tensor.Tensor{g.Inputs[0]: testInput(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, body := reply(2, good)
+	if status != StatusOK {
+		t.Fatalf("well-formed request after the bad one got status %d", status)
+	}
+	if outs, err := body.tensorMap(); err != nil || outs[g.Outputs[0]] == nil {
+		t.Errorf("well-formed request after the bad one: outputs %v (%v)", outs, err)
+	}
+	if st := srv.Stats(); st.BadRequest != 1 {
+		t.Errorf("server counted %d bad requests, want 1", st.BadRequest)
 	}
 }
 
@@ -180,30 +323,37 @@ func TestAPIKeyAuth(t *testing.T) {
 	}
 }
 
-// TestOverloadRetryAfter drives an open-loop burst at a single-replica
-// fleet with depth-1 queues: part of the burst must come back as
-// RetryAfterError with the configured hint.
+// TestOverloadRetryAfter drives an open-loop burst at a held
+// single-replica fleet with a depth-1 admission queue: part of the
+// burst must come back as RetryAfterError with the configured hint.
 func TestOverloadRetryAfter(t *testing.T) {
-	srv, _, g := startServer(t, 1,
-		cluster.Config{QueueDepth: 1, Serve: microserver.ServeConfig{MaxBatch: 1, QueueDepth: 1, MaxWait: time.Nanosecond}},
-		Config{Batch: BatchPolicy{MaxBatch: 1}, RetryAfter: 7 * time.Millisecond},
-	)
+	sched, g, held := deployHeld(t, cluster.Config{QueueDepth: 1})
+	srv := listen(t, sched, Config{Batch: BatchPolicy{MaxBatch: 1}, RetryAfter: 7 * time.Millisecond})
 	pool, err := DialPool(srv.Addr(), "", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
 	ins := map[string]*tensor.Tensor{g.Inputs[0]: testInput(0)}
+	release := held.hold()
+	defer release()
 	const burst = 64
 	var wg sync.WaitGroup
 	errs := make([]error, burst)
+	returned := make(chan struct{}, burst)
 	for i := 0; i < burst; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			_, errs[i] = pool.InferCtx(context.Background(), g.Name, ins)
+			returned <- struct{}{}
 		}(i)
 	}
+	// The held replica completes nothing, and its queue, the router's
+	// hand-off and the admission slot hold fewer requests than the
+	// burst: the first reply back is a shed. Then let the replica run.
+	<-returned
+	release()
 	wg.Wait()
 	shed, ok := 0, 0
 	for i, err := range errs {
@@ -235,30 +385,19 @@ func TestOverloadRetryAfter(t *testing.T) {
 // against bounded queues sheds without deadlock even when the server
 // and scheduler close mid-burst, and every request resolves.
 func TestBurstShedCloseMidBurst(t *testing.T) {
-	sched := cluster.NewScheduler(armFleet(t, 1), cluster.Config{
-		QueueDepth: 2,
-		Serve:      microserver.ServeConfig{MaxBatch: 1, QueueDepth: 1, MaxWait: time.Nanosecond},
-	})
-	g := testModel()
-	if _, err := sched.Deploy(g); err != nil {
-		sched.Close()
-		t.Fatal(err)
-	}
-	srv, err := Listen("127.0.0.1:0", sched, Config{Batch: BatchPolicy{MaxBatch: 1}})
-	if err != nil {
-		sched.Close()
-		t.Fatal(err)
-	}
+	sched, g, held := deployHeld(t, cluster.Config{QueueDepth: 2})
+	srv := listen(t, sched, Config{Batch: BatchPolicy{MaxBatch: 1}})
 	pool, err := DialPool(srv.Addr(), "", 4)
 	if err != nil {
-		srv.Close()
-		sched.Close()
 		t.Fatal(err)
 	}
 	ins := map[string]*tensor.Tensor{g.Inputs[0]: testInput(0)}
+	release := held.hold()
+	defer release()
 	const burst = 96
 	var wg sync.WaitGroup
 	resolved := make([]bool, burst)
+	returned := make(chan struct{}, burst)
 	for i := 0; i < burst; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -267,10 +406,14 @@ func TestBurstShedCloseMidBurst(t *testing.T) {
 			defer cancel()
 			_, err := pool.InferCtx(ctx, g.Name, ins)
 			resolved[i] = !errors.Is(err, context.DeadlineExceeded)
+			returned <- struct{}{}
 		}(i)
 	}
-	// Sever everything while the burst is in flight.
-	time.Sleep(2 * time.Millisecond)
+	// The first reply back from the held replica is a shed: the queues
+	// are full and the burst is in flight. Sever everything now, with
+	// the replica draining its backlog.
+	<-returned
+	release()
 	srv.Close()
 	sched.Close()
 	done := make(chan struct{})
@@ -459,6 +602,33 @@ func TestHTTPAdapter(t *testing.T) {
 
 // TestRunClosedLoopOverSocket drives the load generator end to end over
 // a real socket and checks the accounting adds up.
+// TestHTTPRejectsOverflowingShape posts a shape whose element count
+// wraps to zero with no data: the adapter must answer 400 and keep
+// serving instead of letting the engine allocate the full product.
+func TestHTTPRejectsOverflowingShape(t *testing.T) {
+	srv, _, g := startServer(t, 1, cluster.Config{}, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	post := func(ht HTTPTensor) int {
+		t.Helper()
+		body, _ := json.Marshal(HTTPInferRequest{Model: g.Name, Inputs: map[string]HTTPTensor{g.Inputs[0]: ht}})
+		req, _ := newJSONRequest(ts.URL+"/v1/infer", body, "")
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post(HTTPTensor{Shape: []int{1 << 62, 1, 16, 16}}); code != http.StatusBadRequest {
+		t.Errorf("overflowing shape got %d, want 400", code)
+	}
+	in := testInput(1)
+	if code := post(HTTPTensor{Shape: in.Shape, Data: in.F32}); code != http.StatusOK {
+		t.Errorf("well-formed request after the bad one got %d, want 200", code)
+	}
+}
+
 func TestRunClosedLoopOverSocket(t *testing.T) {
 	srv, _, g := startServer(t, 2, cluster.Config{QueueDepth: 512},
 		Config{Batch: BatchPolicy{MaxBatch: 32, MaxDelay: time.Millisecond}})
@@ -495,19 +665,37 @@ func TestRunClosedLoopOverSocket(t *testing.T) {
 	}
 }
 
+// releaseOnShed is a Transport that runs release once the first
+// request comes back shed.
+type releaseOnShed struct {
+	Transport
+	release func()
+}
+
+func (r releaseOnShed) InferCtx(ctx context.Context, model string, ins map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
+	outs, err := r.Transport.InferCtx(ctx, model, ins)
+	var ra *RetryAfterError
+	if errors.As(err, &ra) {
+		r.release()
+	}
+	return outs, err
+}
+
 // TestReplayOpenLoopBursts replays a bursty open-loop trace against a
-// bounded fleet: sheds happen, nothing deadlocks, accounting holds.
+// bounded fleet whose replica is held until the first shed: sheds
+// happen, nothing deadlocks, accounting holds.
 func TestReplayOpenLoopBursts(t *testing.T) {
-	srv, _, g := startServer(t, 1,
-		cluster.Config{QueueDepth: 2, Serve: microserver.ServeConfig{MaxBatch: 1, QueueDepth: 1, MaxWait: time.Nanosecond}},
-		Config{Batch: BatchPolicy{MaxBatch: 1}})
+	sched, g, held := deployHeld(t, cluster.Config{QueueDepth: 2})
+	srv := listen(t, sched, Config{Batch: BatchPolicy{MaxBatch: 1}})
 	cl, err := Dial(srv.Addr(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	release := held.hold()
+	defer release()
 	trace := cluster.OpenLoopTrace(120, 4000, 3)
-	res, err := ReplayOpenLoop(cl, trace, LoadConfig{
+	res, err := ReplayOpenLoop(releaseOnShed{Transport: cl, release: release}, trace, LoadConfig{
 		Model: g.Name,
 		SLO:   time.Second,
 		Inputs: func(i int) map[string]*tensor.Tensor {

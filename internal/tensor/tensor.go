@@ -82,6 +82,23 @@ func (s Shape) NumElements() int {
 	return n
 }
 
+// CheckedNumElements is NumElements for shapes from untrusted input: it
+// fails on a negative dimension or when the product overflows int
+// instead of wrapping.
+func (s Shape) CheckedNumElements() (int, error) {
+	n := 1
+	for _, d := range s {
+		if d < 0 {
+			return 0, fmt.Errorf("%w: negative dimension in %v", ErrShape, s)
+		}
+		if d != 0 && n > math.MaxInt/d {
+			return 0, fmt.Errorf("%w: %v overflows the element count", ErrShape, s)
+		}
+		n *= d
+	}
+	return n, nil
+}
+
 // Equal reports whether two shapes have identical rank and extents.
 func (s Shape) Equal(o Shape) bool {
 	if len(s) != len(o) {
@@ -185,7 +202,11 @@ func New(dt DType, shape ...int) *Tensor {
 // is used directly, not copied.
 func FromSlice(data []float32, shape ...int) (*Tensor, error) {
 	s := Shape(shape)
-	if s.NumElements() != len(data) {
+	n, err := s.CheckedNumElements()
+	if err != nil {
+		return nil, err
+	}
+	if n != len(data) {
 		return nil, fmt.Errorf("%w: %d elements for shape %v", ErrShape, len(data), s)
 	}
 	return &Tensor{Shape: s.Clone(), DType: FP32, F32: data}, nil

@@ -104,6 +104,35 @@ func TestFromSlice(t *testing.T) {
 	}
 }
 
+func TestCheckedNumElements(t *testing.T) {
+	for _, c := range []struct {
+		s    Shape
+		want int
+	}{
+		{Shape{}, 1},
+		{Shape{2, 3}, 6},
+		{Shape{1 << 62, 0}, 0},
+		{Shape{math.MaxInt}, math.MaxInt},
+	} {
+		if got, err := c.s.CheckedNumElements(); err != nil || got != c.want {
+			t.Errorf("%v.CheckedNumElements() = %d, %v; want %d", c.s, got, err, c.want)
+		}
+	}
+	for _, s := range []Shape{{-1, 4}, {1 << 62, 784}, {1 << 31, 1 << 31, 1 << 31}, {math.MaxInt, 2}} {
+		if n, err := s.CheckedNumElements(); err == nil {
+			t.Errorf("%v.CheckedNumElements() = %d, want an error", s, n)
+		}
+	}
+}
+
+// TestFromSliceRejectsOverflow is the regression for a shape whose
+// unchecked element count wraps to len(nil) == 0.
+func TestFromSliceRejectsOverflow(t *testing.T) {
+	if tt, err := FromSlice(nil, 1<<62, 784); err == nil {
+		t.Errorf("FromSlice accepted shape %v with no data", tt.Shape)
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	a := MustFromSlice([]float32{1, 2}, 2)
 	b := a.Clone()
