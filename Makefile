@@ -18,9 +18,12 @@ test:
 test-full:
 	$(GO) test ./...
 
-# test-race runs the concurrent packages under the race detector.
+# test-race runs the concurrent packages under the race detector, then
+# repeats the front-door batcher tests: its slot-release invariant is a
+# concurrency property a single run can miss.
 test-race:
 	$(GO) test -short -race ./internal/inference/... ./internal/microserver/... ./internal/cluster/... ./internal/serve/... ./internal/rvbackend/... ./internal/riscv/... ./internal/soc/... ./internal/cfu/...
+	$(GO) test -race -count=20 -run Batcher ./internal/serve/
 
 # test-portable exercises the pure-Go micro-kernel fallbacks (noasm /
 # purego build tags) and the narrowed runtime dispatch tiers — the same

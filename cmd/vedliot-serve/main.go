@@ -21,10 +21,11 @@
 // Beyond the trace replay, the command is also the network front door:
 // -listen exposes the deployed fleet over the framed-TCP protocol
 // (plus an optional -http JSON adapter) with per-tenant API keys and
-// socket-boundary adaptive batching, -load turns the binary into a
-// closed-loop load generator driving a remote front door, and
-// -load-smoke runs both ends in one process over a real localhost
-// socket and fails unless the run is clean and requests coalesced.
+// work-conserving batching at the socket boundary, -load turns the
+// binary into a closed-loop load generator driving a remote front
+// door, and -load-smoke runs both ends in one process over a real
+// localhost socket and fails unless the run is clean and requests
+// coalesced.
 //
 // Usage:
 //
@@ -77,7 +78,7 @@ func main() {
 	httpAddr := flag.String("http", "", "with -listen: also serve the HTTP/JSON adapter on this address")
 	keys := flag.String("keys", "", "comma-separated key=tenant API keys for -listen (empty = open mode)")
 	maxBatch := flag.Int("max-batch", 32, "front-door coalescing cap in rows (1 = passthrough)")
-	maxDelay := flag.Duration("max-delay", time.Millisecond, "front-door max coalescing delay")
+	maxDelay := flag.Duration("max-delay", time.Millisecond, "front door: longest a request waits for a busy fleet")
 	loadAddr := flag.String("load", "", "run as a closed-loop load generator against this front-door address")
 	clients := flag.Int("clients", 1000, "load generator: concurrent closed-loop clients")
 	perClient := flag.Int("requests-per-client", 4, "load generator: requests per client")
@@ -411,7 +412,7 @@ func runListen(sched *cluster.Scheduler, addr, httpAddr string, keys map[string]
 	if keys != nil {
 		mode = fmt.Sprintf("%d API key(s)", len(keys))
 	}
-	fmt.Printf("\nframed TCP front door on %s (%s, max batch %d, max delay %v)\n",
+	fmt.Printf("\nframed TCP front door on %s (%s, max batch %d, longest a request waits for a busy fleet %v)\n",
 		srv.Addr(), mode, policy.MaxBatch, policy.MaxDelay)
 	var hsrv *http.Server
 	if httpAddr != "" {

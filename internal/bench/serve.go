@@ -13,7 +13,8 @@ import (
 	"vedliot/internal/tensor"
 )
 
-// ServeStudy exercises the network front door at both of its scales:
+// ServeStudy exercises the network front door at both of its scales,
+// and checks that it does not hold a lone request:
 //
 //  1. Million-client closed loop — the discrete-event simulator drives
 //     a self-throttling client population (exact virtual time, so the
@@ -24,14 +25,17 @@ import (
 //     rate.
 //  2. Real sockets — a framed-TCP server over a uRECS fleet takes a
 //     closed-loop load run (thousands of client goroutines over a
-//     connection pool) with the socket-boundary adaptive batcher on
-//     vs off, plus a bitwise parity probe against the in-process
-//     reference engine.
+//     connection pool) with the socket-boundary batcher on vs off,
+//     plus a bitwise parity probe against the in-process reference
+//     engine.
+//  3. Lone requests — sequential requests to an idle socket fleet,
+//     which the work-conserving batcher must send at once rather than
+//     hold for company.
 //
 // The simulated metrics (serve_p99_ms, serve_slo_violation_rate,
 // serve_batch_coalescing) are deterministic and pinned by the perf
-// gate; the socket run contributes ratio checks that survive machine
-// differences.
+// gate; the socket runs contribute ratio checks that survive machine
+// differences (serve_lone_hold_ratio is gated too).
 func ServeStudy() (*Report, error) {
 	r := newReport("Platform — network front door: adaptive batching at the socket boundary")
 
@@ -121,34 +125,11 @@ func ServeStudy() (*Report, error) {
 	}
 
 	run := func(policy serve.BatchPolicy) (serve.LoadResult, serve.ServerStats, float64, error) {
-		chassis := microserver.NewURECS()
-		for slot := 0; slot < 2; slot++ {
-			m, err := microserver.FindModule("SMARC ARM")
-			if err != nil {
-				return serve.LoadResult{}, serve.ServerStats{}, 0, err
-			}
-			if err := chassis.Insert(slot, m); err != nil {
-				return serve.LoadResult{}, serve.ServerStats{}, 0, err
-			}
-		}
-		// Replicas run tickets exactly as handed, so the comparison
-		// isolates the socket-boundary batcher: engines see the batches
-		// the front door built.
-		sched := cluster.NewScheduler(chassis, cluster.Config{QueueDepth: 512})
-		defer sched.Close()
-		if _, err := sched.Deploy(g); err != nil {
-			return serve.LoadResult{}, serve.ServerStats{}, 0, err
-		}
-		srv, err := serve.Listen("127.0.0.1:0", sched, serve.Config{Batch: policy})
+		srv, pool, stop, err := socketFleet(g, policy, conns)
 		if err != nil {
 			return serve.LoadResult{}, serve.ServerStats{}, 0, err
 		}
-		defer srv.Close()
-		pool, err := serve.DialPool(srv.Addr(), "", conns)
-		if err != nil {
-			return serve.LoadResult{}, serve.ServerStats{}, 0, err
-		}
-		defer pool.Close()
+		defer stop()
 		// Parity probe through the full framed path before the load.
 		outs, err := pool.InferCtx(context.Background(), g.Name, ins)
 		if err != nil {
@@ -215,5 +196,84 @@ func ServeStudy() (*Report, error) {
 	r.check("socket: zero hard failures under load", pLoad.Failed == 0 && bLoad.Failed == 0)
 	r.check(fmt.Sprintf("socket: adaptive batching sustains >=%.1fx batch-1 throughput", speedupFloor), speedup >= speedupFloor)
 	r.check(fmt.Sprintf("socket: dispatches coalesce >=%.1f rows per batch", coalesceFloor), bStats.MeanBatch >= coalesceFloor)
+
+	// --- Part 3: lone requests on an idle fleet -----------------------
+	// The front door holds a request only while every replica is busy.
+	// Sequential requests spaced apart always find an idle fleet, so
+	// they must not wait for company: a generous MaxDelay makes any
+	// such wait plain in their latency.
+	const loneDelay = 50 * time.Millisecond
+	lone, err := loneLatencies(g, ins, serve.BatchPolicy{MaxBatch: 64, MaxDelay: loneDelay}, 20, 5*time.Millisecond)
+	if err != nil {
+		return nil, err
+	}
+	loneP50 := cluster.Summarize(lone).P50
+	holdRatio := float64(loneP50) / float64(loneDelay)
+	r.linef("")
+	r.linef("lone requests: %d sequential, %v apart, on an idle 2x SMARC ARM fleet (max delay %v): p50 %v",
+		len(lone), 5*time.Millisecond, loneDelay, loneP50.Round(time.Microsecond))
+	r.metric("serve_lone_p50_ms", "ms", float64(loneP50)/1e6)
+	r.metric("serve_lone_hold_ratio", "of max delay", holdRatio)
+	r.check("socket: a lone request on an idle fleet is not held for company", holdRatio < 0.1)
 	return r, nil
+}
+
+// socketFleet serves g on a 2x SMARC ARM uRECS fleet behind a framed-TCP
+// front door with the given batching policy, and dials a pool of conns
+// connections to it. stop tears down the pool, server and scheduler.
+func socketFleet(g *nn.Graph, policy serve.BatchPolicy, conns int) (*serve.Server, *serve.Pool, func(), error) {
+	chassis := microserver.NewURECS()
+	for slot := 0; slot < 2; slot++ {
+		m, err := microserver.FindModule("SMARC ARM")
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		if err := chassis.Insert(slot, m); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	// Replicas run tickets exactly as handed, so the engines see the
+	// batches the front door built.
+	sched := cluster.NewScheduler(chassis, cluster.Config{QueueDepth: 512})
+	if _, err := sched.Deploy(g); err != nil {
+		sched.Close()
+		return nil, nil, nil, err
+	}
+	srv, err := serve.Listen("127.0.0.1:0", sched, serve.Config{Batch: policy})
+	if err != nil {
+		sched.Close()
+		return nil, nil, nil, err
+	}
+	pool, err := serve.DialPool(srv.Addr(), "", conns)
+	if err != nil {
+		srv.Close()
+		sched.Close()
+		return nil, nil, nil, err
+	}
+	stop := func() {
+		pool.Close()
+		srv.Close()
+		sched.Close()
+	}
+	return srv, pool, stop, nil
+}
+
+// loneLatencies sends n requests one at a time, gap apart, through a
+// fresh socket fleet and returns each request's latency.
+func loneLatencies(g *nn.Graph, ins map[string]*tensor.Tensor, policy serve.BatchPolicy, n int, gap time.Duration) ([]time.Duration, error) {
+	_, pool, stop, err := socketFleet(g, policy, 1)
+	if err != nil {
+		return nil, err
+	}
+	defer stop()
+	lats := make([]time.Duration, n)
+	for i := range lats {
+		time.Sleep(gap)
+		start := time.Now()
+		if _, err := pool.InferCtx(context.Background(), g.Name, ins); err != nil {
+			return nil, fmt.Errorf("lone request %d: %w", i, err)
+		}
+		lats[i] = time.Since(start)
+	}
+	return lats, nil
 }

@@ -440,14 +440,17 @@ func (e *Engine) putStage(buf []float32) {
 // resolveInputs validates the provided inputs against the plan and
 // returns their FP32 views plus the call's batch size.
 func (e *Engine) resolveInputs(inputs map[string]*tensor.Tensor) ([][]float32, int, error) {
-	return resolveBatchedInputs(e.inputNames, e.inPer, inputs)
+	return ResolveBatchedInputs(e.inputNames, e.inPer, inputs)
 }
 
-// resolveBatchedInputs validates an input map against per-sample shapes
-// and returns the FP32 views plus the call's batch size. Shared by the
-// FP32 engine and the quantized engine (which quantizes the views at
-// graph entry).
-func resolveBatchedInputs(inputNames []string, per []tensor.Shape, inputs map[string]*tensor.Tensor) ([][]float32, int, error) {
+// ResolveBatchedInputs validates an input map against per-sample shapes
+// and returns the FP32 views plus the call's batch size. Each view's
+// length is checked against its tensor's shape, so a short buffer is an
+// error rather than an out-of-range read. Shared by every executable
+// that takes batched inputs: the FP32 engine, the quantized engine and
+// the firmware backend (the last two quantize the views at graph
+// entry).
+func ResolveBatchedInputs(inputNames []string, per []tensor.Shape, inputs map[string]*tensor.Tensor) ([][]float32, int, error) {
 	if len(inputNames) == 0 {
 		return nil, 0, fmt.Errorf("inference: graph declares no inputs")
 	}

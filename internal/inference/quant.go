@@ -254,7 +254,7 @@ func putBuf(pool *sync.Pool, buf []int8) {
 // returns FP32 outputs: quantize at entry, int8 end to end, dequantize
 // at exit. Safe for concurrent use.
 func (e *QuantEngine) Run(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	inBufs, batch, err := resolveBatchedInputs(e.inputNames, e.inPer, inputs)
+	inBufs, batch, err := ResolveBatchedInputs(e.inputNames, e.inPer, inputs)
 	if err != nil {
 		return nil, err
 	}

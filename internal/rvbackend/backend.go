@@ -73,7 +73,11 @@ func (b Backend) Compile(g *nn.Graph, opts ...inference.Option) (inference.Execu
 	if clock <= 0 {
 		clock = DefaultClockHz
 	}
-	p := &Program{name: b.Name(), plan: plan, img: img, m: m, clockHz: clock}
+	inPer := make([]tensor.Shape, len(plan.InputVals))
+	for i, v := range plan.InputVals {
+		inPer[i] = plan.Values[v].Shape
+	}
+	p := &Program{name: b.Name(), plan: plan, inPer: inPer, img: img, m: m, clockHz: clock}
 	if err := p.warmup(); err != nil {
 		return nil, fmt.Errorf("rvbackend: warmup inference: %w", err)
 	}
@@ -89,6 +93,7 @@ var _ inference.Backend = Backend{}
 type Program struct {
 	name    string
 	plan    *inference.QuantPlan
+	inPer   []tensor.Shape // per-sample input shapes, in InputNames order
 	img     *image
 	m       *soc.Machine
 	clockHz float64
@@ -125,51 +130,13 @@ type FirmwareInfo struct {
 	UseCFU bool
 }
 
-// resolveInputs validates the input map against per-sample shapes and
-// returns FP32 views plus the batch, mirroring the native engines.
-func (p *Program) resolveInputs(inputs map[string]*tensor.Tensor) ([][]float32, int, error) {
-	if len(p.plan.InputNames) == 0 {
-		return nil, 0, fmt.Errorf("rvbackend: graph declares no inputs")
-	}
-	bufs := make([][]float32, len(p.plan.InputNames))
-	batch := 0
-	for i, name := range p.plan.InputNames {
-		t, ok := inputs[name]
-		if !ok || t == nil {
-			return nil, 0, fmt.Errorf("rvbackend: missing input %q", name)
-		}
-		if len(t.Shape) == 0 {
-			return nil, 0, fmt.Errorf("rvbackend: input %q is a scalar, want batched tensor", name)
-		}
-		per := p.plan.Values[p.plan.InputVals[i]].Shape
-		want := append(tensor.Shape{t.Shape[0]}, per...)
-		if !t.Shape.Equal(want) {
-			return nil, 0, fmt.Errorf("rvbackend: input %q has shape %v, want %v", name, t.Shape, want)
-		}
-		if i == 0 {
-			batch = t.Shape[0]
-		} else if t.Shape[0] != batch {
-			return nil, 0, fmt.Errorf("rvbackend: input %q has batch %d, want %d", name, t.Shape[0], batch)
-		}
-		if t.DType == tensor.FP32 {
-			bufs[i] = t.F32
-		} else {
-			bufs[i] = t.Float32s()
-		}
-	}
-	if batch <= 0 {
-		return nil, 0, fmt.Errorf("rvbackend: batch must be positive")
-	}
-	return bufs, batch, nil
-}
-
 // Run implements inference.Executable: quantize inputs into SoC RAM,
 // drive the firmware segments (host islands in between), read back and
 // dequantize outputs. Output conventions mirror QuantEngine.Run: an
 // output resolving to an input value passes the caller's tensor
 // through, and a name listed twice shares one tensor.
 func (p *Program) Run(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	bufs, batch, err := p.resolveInputs(inputs)
+	bufs, batch, err := inference.ResolveBatchedInputs(p.plan.InputNames, p.inPer, inputs)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"vedliot/internal/optimize"
 	"vedliot/internal/rvbackend"
 	"vedliot/internal/tensor"
+	"vedliot/internal/zoo"
 )
 
 func calibrate(t testing.TB, g *nn.Graph) *nn.QuantSchema {
@@ -140,5 +141,24 @@ func TestPredictLatencyFromMeasuredCycles(t *testing.T) {
 	info := p.Image()
 	if info.TextWords == 0 || info.Segments == 0 || !info.UseCFU {
 		t.Errorf("unexpected firmware info %+v", info)
+	}
+}
+
+// TestRunRejectsShortInputBuffer feeds the mirror-gesture firmware a
+// 4-row input whose buffer carries 3 floats: Run must return an error
+// instead of reading past the buffer.
+func TestRunRejectsShortInputBuffer(t *testing.T) {
+	entry, err := zoo.Find("mirror-gesture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := entry.Build()
+	exe, err := rvbackend.Backend{Schema: calibrate(t, g)}.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := &tensor.Tensor{DType: tensor.FP32, Shape: tensor.Shape{4, 1, 16, 16}, F32: []float32{0.25, -0.5, 1}}
+	if _, err := exe.Run(map[string]*tensor.Tensor{g.Inputs[0]: short}); err == nil {
+		t.Fatal("a 4x1x16x16 input carrying 3 floats ran")
 	}
 }

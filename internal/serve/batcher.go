@@ -14,23 +14,20 @@ import (
 	"vedliot/internal/tensor"
 )
 
-// BatchPolicy shapes socket-boundary coalescing: requests for the same
-// (tenant, model) that arrive within a short adaptive window are stacked
-// into one cluster submission so the engines run full batches instead of
-// singletons. The window tracks the observed arrival gap — it tightens
-// as load rises (batches fill before the timer) and never holds a
-// request longer than MaxDelay.
+// BatchPolicy shapes socket-boundary coalescing. Each (tenant, model)
+// batcher keeps at most one submission in flight per replica: a request
+// that finds a free slot goes out at once, together with anything
+// pending, and requests that arrive while every slot is taken are
+// stacked into the next submission along the leading dimension.
 type BatchPolicy struct {
-	// MaxBatch caps the rows coalesced into one submission. 1 disables
-	// coalescing (pure passthrough). Default 32.
+	// MaxBatch caps the rows coalesced into one submission; a batch
+	// that reaches it goes out even when every slot is taken. 1
+	// disables coalescing (pure passthrough). Default 32.
 	MaxBatch int
-	// MaxDelay bounds how long the first request of a batch may wait
-	// for company. Default 1ms.
+	// MaxDelay bounds how long a request waits for a busy fleet: the
+	// pending batch goes out when it expires even if no slot has
+	// freed. Default 1ms.
 	MaxDelay time.Duration
-	// MinDelay floors the adaptive wait so a single fast client cannot
-	// collapse the window to zero between its own back-to-back
-	// requests. Default 20µs.
-	MinDelay time.Duration
 }
 
 func (p BatchPolicy) withDefaults() BatchPolicy {
@@ -39,9 +36,6 @@ func (p BatchPolicy) withDefaults() BatchPolicy {
 	}
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = time.Millisecond
-	}
-	if p.MinDelay <= 0 {
-		p.MinDelay = 20 * time.Microsecond
 	}
 	return p
 }
@@ -60,25 +54,28 @@ type batchStats struct {
 	rows    atomic.Int64
 }
 
-// batcher coalesces requests for one (tenant, model) pair.
+// batcher coalesces requests for one (tenant, model) pair. It is work
+// conserving: it holds a request only while every replica slot is
+// taken, so an idle fleet adds no wait to a lone request.
 type batcher struct {
 	dep    *cluster.Deployment
 	policy BatchPolicy
 	stats  *batchStats
+	// slots is one per replica: requests are held only while this many
+	// submissions are in flight. A full batch or an expired MaxDelay
+	// goes out regardless, so inflight may exceed it.
+	slots int
 
-	mu      sync.Mutex
-	pending []batchMember
-	rows    int
-	sig     string
-	gen     uint64
-	// gapNS is the EWMA of inter-arrival gaps in nanoseconds; it drives
-	// the adaptive flush delay.
-	gapNS int64
-	last  time.Time
+	mu       sync.Mutex
+	pending  []batchMember
+	rows     int
+	sig      string
+	gen      uint64
+	inflight int // submissions not yet returned from the fleet
 }
 
 func newBatcher(dep *cluster.Deployment, policy BatchPolicy, stats *batchStats) *batcher {
-	return &batcher{dep: dep, policy: policy.withDefaults(), stats: stats}
+	return &batcher{dep: dep, policy: policy.withDefaults(), stats: stats, slots: max(1, len(dep.Replicas()))}
 }
 
 // shapeSig fingerprints a request's batch-compatibility class: the
@@ -136,16 +133,7 @@ func (b *batcher) add(ctx context.Context, ins map[string]*tensor.Tensor, done f
 	m := batchMember{ctx: ctx, ins: ins, rows: rows, done: done}
 
 	b.mu.Lock()
-	now := time.Now()
-	if !b.last.IsZero() {
-		gap := int64(now.Sub(b.last))
-		if b.gapNS == 0 {
-			b.gapNS = gap
-		} else {
-			b.gapNS += (gap - b.gapNS) / 4
-		}
-	}
-	b.last = now
+	defer b.mu.Unlock()
 	// A shape class that cannot stack with the waiting batch flushes it
 	// early rather than delaying either class.
 	if len(b.pending) > 0 && sig != b.sig {
@@ -156,54 +144,52 @@ func (b *batcher) add(ctx context.Context, ins map[string]*tensor.Tensor, done f
 	}
 	b.pending = append(b.pending, m)
 	b.rows += rows
-	if b.rows >= b.policy.MaxBatch {
+	switch {
+	case b.inflight < b.slots || b.rows >= b.policy.MaxBatch:
 		b.flushLocked()
-		b.mu.Unlock()
-		return
-	}
-	if len(b.pending) == 1 {
-		// Adaptive window: wait roughly as long as it takes MaxBatch-1
-		// more arrivals to show up at the current rate, clamped to the
-		// policy bounds. Under load the gap EWMA shrinks and batches
-		// fill before the timer; when idle the clamp keeps added
-		// latency bounded by MaxDelay.
-		delay := time.Duration(b.gapNS) * time.Duration(b.policy.MaxBatch-1)
-		if delay < b.policy.MinDelay {
-			delay = b.policy.MinDelay
-		}
-		if delay > b.policy.MaxDelay {
-			delay = b.policy.MaxDelay
-		}
+	case len(b.pending) == 1:
+		// Every slot is taken: the batch waits for a completion, but
+		// never longer than MaxDelay.
 		gen := b.gen
-		time.AfterFunc(delay, func() {
+		time.AfterFunc(b.policy.MaxDelay, func() {
 			b.mu.Lock()
-			// A generation bump means this batch already flushed (full
-			// or displaced); the timer is stale.
+			defer b.mu.Unlock()
+			// A generation bump means this batch already flushed; the
+			// timer is stale.
 			if b.gen == gen && len(b.pending) > 0 {
 				b.flushLocked()
 			}
-			b.mu.Unlock()
 		})
 	}
-	b.mu.Unlock()
 }
 
-// flushLocked hands the waiting batch to a submission goroutine.
-// Callers hold b.mu.
+// flushLocked hands the waiting batch to a submission goroutine, which
+// takes a slot until it completes. Callers hold b.mu.
 func (b *batcher) flushLocked() {
 	members := b.pending
 	b.pending = nil
 	b.rows = 0
 	b.gen++
+	b.inflight++
 	go b.submit(members)
 }
 
-// submit stacks the members' inputs, routes one cluster submission and
-// splits the output rows back to each member.
-func (b *batcher) submit(members []batchMember) {
-	if len(members) == 0 {
-		return
+// release frees a submission's slot and, when a slot is then free,
+// flushes what queued meanwhile.
+func (b *batcher) release() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.inflight--
+	if b.inflight < b.slots && len(b.pending) > 0 {
+		b.flushLocked()
 	}
+}
+
+// submit stacks the members' inputs, routes one cluster submission and
+// splits the output rows back to each member. The slot is released on
+// every outcome, before any member resolves, so a caller that sends its
+// next request on this reply finds the slot free.
+func (b *batcher) submit(members []batchMember) {
 	b.stats.batches.Add(1)
 	totalRows := 0
 	for _, m := range members {
@@ -216,20 +202,19 @@ func (b *batcher) submit(members []batchMember) {
 	if len(members) == 1 {
 		m := members[0]
 		outs, err := b.dep.InferCtx(m.ctx, m.ins)
+		b.release()
 		m.done(outs, err)
 		return
 	}
 
 	ins, err := stackInputs(members, totalRows)
-	if err != nil {
-		for _, m := range members {
-			m.done(nil, err)
-		}
-		return
+	var outs map[string]*tensor.Tensor
+	if err == nil {
+		// A merged batch runs under a background context: one member's
+		// disconnect must not cancel the rest of the batch.
+		outs, err = b.dep.InferCtx(context.Background(), ins)
 	}
-	// A merged batch runs under a background context: one member's
-	// disconnect must not cancel the rest of the batch.
-	outs, err := b.dep.InferCtx(context.Background(), ins)
+	b.release()
 	if err != nil {
 		for _, m := range members {
 			m.done(nil, err)
