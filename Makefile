@@ -43,13 +43,19 @@ servebench-test:
 	cd servebench && $(GO) vet . && $(GO) test -short .
 
 # fuzz-smoke runs every fuzz target briefly — the CI smoke job that
-# keeps the targets compiling and the seed corpora passing.
+# keeps the targets compiling and the seed corpora passing: the RISC-V
+# encoder/executor and disassembler, the core's direct RAM path against
+# the bus (soc), the CFUs, the framed-TCP decoder (serve) and the
+# .vedz decoder (artifact).
 fuzz-smoke:
 	$(GO) test -fuzz FuzzEncodeExecute -fuzztime 5s ./internal/riscv/
 	$(GO) test -fuzz FuzzLoadStoreRoundTrip -fuzztime 5s ./internal/riscv/
 	$(GO) test -fuzz FuzzDisassemble -fuzztime 5s ./internal/riscv/
+	$(GO) test -fuzz FuzzRAMWindowMatchesBus -fuzztime 5s ./internal/soc/
 	$(GO) test -fuzz FuzzVectorMAC -fuzztime 5s ./internal/cfu/
 	$(GO) test -fuzz FuzzSatALU -fuzztime 5s ./internal/cfu/
+	$(GO) test -fuzz FuzzFrameDecode -fuzztime 5s ./internal/serve/
+	$(GO) test -fuzz FuzzArtifactDecode -fuzztime 5s ./internal/artifact/
 
 # bench tracks the inference-runtime perf trajectory.
 bench:

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"time"
 
 	"vedliot/internal/inference"
@@ -14,7 +15,9 @@ import (
 // emulated RISC-V SoC and reproduces the paper's CFU argument (§II-B)
 // at model scale: the vector-MAC firmware must be bit-exact against the
 // native INT8 engine and at least 2x faster in measured cycles than the
-// scalar firmware on the same core.
+// scalar firmware on the same core. It also reports how fast the
+// emulator runs the CFU firmware: modeled device time over host wall
+// time.
 func RISCVBench() (*Report, error) {
 	r := newReport("§II-B — INT8 firmware on the emulated RISC-V+CFU SoC")
 
@@ -43,6 +46,7 @@ func RISCVBench() (*Report, error) {
 	r.linef("model %s, batch %d, native INT8 engine as reference", g.Name, batch)
 
 	cycles := map[bool]uint64{}
+	var realtime float64
 	for _, noCFU := range []bool{false, true} {
 		b := rvbackend.Backend{Schema: schema, NoCFU: noCFU}
 		exe, err := b.Compile(g)
@@ -63,6 +67,11 @@ func RISCVBench() (*Report, error) {
 			b.Name(), cycles[noCFU], float64(lat)/float64(time.Millisecond), info.TextWords, exact)
 		r.check("firmware_bit_exact_"+b.Name(), exact)
 		r.check("top1_parity_"+b.Name(), top1 == 1)
+		if !noCFU {
+			if realtime, err = realtimeRatio(p, in, batch); err != nil {
+				return nil, err
+			}
+		}
 	}
 
 	speedup := float64(cycles[true]) / float64(cycles[false])
@@ -71,7 +80,29 @@ func RISCVBench() (*Report, error) {
 	r.check("cfu_speedup_ge_2x", speedup >= 2)
 	r.metric("riscv_cfu_cycle_speedup", "x", speedup)
 	r.metric("riscv_cfu_cycles_per_inference", "cycles", float64(cycles[false]))
+	r.linef("emulator: %.2fx real time (modeled device time / host wall time of a batch-%d Run, best of 3)",
+		realtime, batch)
+	r.metric("riscv_emulator_realtime_ratio", "x", realtime)
 	return r, nil
+}
+
+// realtimeRatio returns the program's modeled device time for one
+// batch divided by the host wall time of the firmware Run, best of
+// three runs. Below 1 the emulator is slower than the device it models.
+func realtimeRatio(p *rvbackend.Program, in map[string]*tensor.Tensor, batch int) (float64, error) {
+	wall := time.Duration(math.MaxInt64)
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		if _, err := p.Run(in); err != nil {
+			return 0, err
+		}
+		wall = min(wall, time.Since(start))
+	}
+	modeled, err := p.PredictLatency(batch)
+	if err != nil {
+		return 0, err
+	}
+	return float64(modeled) / float64(wall), nil
 }
 
 // bitExact reports whether two output maps carry identical FP32 values.

@@ -11,6 +11,8 @@
 // needs.
 package riscv
 
+import "encoding/binary"
+
 // Priv is a privilege level.
 type Priv uint8
 
@@ -30,6 +32,17 @@ type Bus interface {
 	Write8(addr uint32, v uint8) error
 	Write16(addr uint32, v uint16) error
 	Write32(addr uint32, v uint32) error
+}
+
+// RAMWindow is implemented by a Bus whose main memory is one byte
+// slice mapped at base, little-endian. The core then serves fetches,
+// loads and stores that are naturally aligned and fall fully inside
+// the slice straight from it. Every other access (MMIO, misaligned,
+// unmapped or past the end) still goes through the Bus. The window is
+// read at the start of each Run or Step, so the slice must stay the
+// bus's backing store for the whole call.
+type RAMWindow interface {
+	RAMWindow() (base uint32, mem []byte)
 }
 
 // CFU is a tightly CPU-coupled custom function unit reached through the
@@ -66,6 +79,11 @@ type Core struct {
 	priv Priv
 	csr  csrFile
 	pmp  PMP
+
+	// ram is the bus's RAM window at ramBase (nil when the bus exposes
+	// none), refreshed by Run and Step.
+	ramBase uint32
+	ram     []byte
 
 	// Cycles accumulates the cycle cost model; Instret counts retired
 	// instructions.
@@ -111,6 +129,27 @@ const (
 // errors returned are bus faults outside trap semantics (simulation
 // bugs), not guest-visible exceptions.
 func (c *Core) Step() error {
+	c.attachRAM()
+	return c.step()
+}
+
+// attachRAM picks up the bus's RAM window, if it exposes one.
+func (c *Core) attachRAM() {
+	c.ramBase, c.ram = 0, nil
+	if w, ok := c.Bus.(RAMWindow); ok {
+		c.ramBase, c.ram = w.RAMWindow()
+	}
+}
+
+// inRAM returns addr's offset into the RAM window when an access of
+// size bytes at addr is naturally aligned and lies fully inside it.
+func (c *Core) inRAM(addr, size uint32) (uint32, bool) {
+	off := addr - c.ramBase
+	n := uint32(len(c.ram))
+	return off, addr&(size-1) == 0 && off < n && n-off >= size
+}
+
+func (c *Core) step() error {
 	if c.Halted {
 		return nil
 	}
@@ -119,10 +158,15 @@ func (c *Core) Step() error {
 		c.trap(ExcInstrAccessFault, c.PC)
 		return nil
 	}
-	raw, err := c.Bus.Read32(c.PC)
-	if err != nil {
-		c.trap(ExcInstrAccessFault, c.PC)
-		return nil
+	var raw uint32
+	if off, ok := c.inRAM(c.PC, 4); ok {
+		raw = binary.LittleEndian.Uint32(c.ram[off:])
+	} else {
+		var err error
+		if raw, err = c.Bus.Read32(c.PC); err != nil {
+			c.trap(ExcInstrAccessFault, c.PC)
+			return nil
+		}
 	}
 	c.X[0] = 0
 	nextPC, exc := c.execute(raw)
@@ -140,8 +184,9 @@ func (c *Core) Step() error {
 // retired instructions, bound the loop so that trap storms (e.g. an
 // illegal instruction at an unconfigured mtvec) still terminate.
 func (c *Core) Run(maxSteps uint64) error {
+	c.attachRAM()
 	for i := uint64(0); !c.Halted && i < maxSteps; i++ {
-		if err := c.Step(); err != nil {
+		if err := c.step(); err != nil {
 			return err
 		}
 	}
@@ -192,6 +237,16 @@ func (c *Core) load(addr uint32, size int) (uint32, *exception) {
 		return 0, excf(ExcLoadAccessFault, addr)
 	}
 	c.Cycles += cycMem
+	if off, ok := c.inRAM(addr, uint32(size)); ok {
+		switch size {
+		case 1:
+			return uint32(c.ram[off]), nil
+		case 2:
+			return uint32(binary.LittleEndian.Uint16(c.ram[off:])), nil
+		default:
+			return binary.LittleEndian.Uint32(c.ram[off:]), nil
+		}
+	}
 	switch size {
 	case 1:
 		v, err := c.Bus.Read8(addr)
@@ -219,6 +274,17 @@ func (c *Core) store(addr uint32, size int, v uint32) *exception {
 		return excf(ExcStoreAccessFault, addr)
 	}
 	c.Cycles += cycMem
+	if off, ok := c.inRAM(addr, uint32(size)); ok {
+		switch size {
+		case 1:
+			c.ram[off] = uint8(v)
+		case 2:
+			binary.LittleEndian.PutUint16(c.ram[off:], uint16(v))
+		default:
+			binary.LittleEndian.PutUint32(c.ram[off:], v)
+		}
+		return nil
+	}
 	var err error
 	switch size {
 	case 1:

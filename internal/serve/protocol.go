@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -198,6 +199,11 @@ func (d *decoder) tensorMap() (map[string]*tensor.Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Each tensor takes at least 4 bytes (name length, dtype, rank), so
+	// a count the frame cannot hold is refused before the map is sized.
+	if int(count) > (len(d.b)-d.off)/4 {
+		return nil, io.ErrUnexpectedEOF
+	}
 	m := make(map[string]*tensor.Tensor, count)
 	for i := 0; i < int(count); i++ {
 		name, err := d.str()
@@ -214,6 +220,9 @@ func (d *decoder) tensorMap() (map[string]*tensor.Tensor, error) {
 		rank, err := d.u8()
 		if err != nil {
 			return nil, err
+		}
+		if int(rank) > (len(d.b)-d.off)/4 {
+			return nil, io.ErrUnexpectedEOF
 		}
 		shape := make(tensor.Shape, rank)
 		for j := range shape {
@@ -273,11 +282,7 @@ func (fr *frameReader) next() (frame, error) {
 	if n < headerLen || n > fr.maxFrame {
 		return frame{}, fmt.Errorf("serve: frame body of %d bytes outside [%d, %d]", n, headerLen, fr.maxFrame)
 	}
-	if cap(fr.buf) < n {
-		fr.buf = make([]byte, n)
-	}
-	fr.buf = fr.buf[:n]
-	if _, err := io.ReadFull(fr.r, fr.buf); err != nil {
+	if err := fr.readBody(n); err != nil {
 		return frame{}, err
 	}
 	if fr.buf[0] != Version {
@@ -286,4 +291,22 @@ func (fr *frameReader) next() (frame, error) {
 	f := frame{typ: fr.buf[1], id: binary.LittleEndian.Uint64(fr.buf[2:10])}
 	f.body = decoder{b: fr.buf, off: headerLen}
 	return f, nil
+}
+
+// readBody reads an n-byte frame body into fr.buf, 64 KiB at a time. A
+// body larger than the buffer grows it only as bytes arrive, so a peer
+// that declares a large frame and stalls holds only what it sent.
+func (fr *frameReader) readBody(n int) error {
+	fr.buf = fr.buf[:0]
+	for have := 0; have < n; have = len(fr.buf) {
+		chunk := min(n-have, 64<<10)
+		fr.buf = slices.Grow(fr.buf, chunk)[:have+chunk]
+		if _, err := io.ReadFull(fr.r, fr.buf[have:]); err != nil {
+			if err == io.EOF && have > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+	return nil
 }

@@ -139,9 +139,15 @@ func deployHeld(t *testing.T, clCfg cluster.Config) (*cluster.Scheduler, *nn.Gra
 }
 
 func TestTensorMapRoundTrip(t *testing.T) {
+	// "big" makes the frame span several of the reader's 64 KiB chunks.
+	big := tensor.New(tensor.FP32, 50000)
+	for i := range big.F32 {
+		big.F32[i] = float32(i) - 0.5
+	}
 	ins := map[string]*tensor.Tensor{
-		"a": testInput(1),
-		"z": tensor.MustFromSlice([]float32{1.5, -2.25, 3e-9}, 3),
+		"a":   testInput(1),
+		"big": big,
+		"z":   tensor.MustFromSlice([]float32{1.5, -2.25, 3e-9}, 3),
 	}
 	b := beginFrame(TypeRequest, 42, 64)
 	b = appendString(b, "model-x")

@@ -23,15 +23,20 @@ type Device interface {
 	Write32(off uint32, v uint32) error
 }
 
-// region is one address-space mapping.
+// region is one address-space mapping. size caches dev.Size() so the
+// lookup makes no interface call.
 type region struct {
 	base uint32
+	size uint32
 	dev  Device
 }
 
-// Bus routes core accesses to mapped devices. It implements riscv.Bus.
+// Bus routes core accesses to mapped devices. It implements riscv.Bus
+// and riscv.RAMWindow. A Bus is not safe for concurrent use: lookups
+// remember the region they last hit.
 type Bus struct {
 	regions []region
+	last    int // index of the region the previous lookup hit
 }
 
 // Map attaches a device at base. Regions must not overlap.
@@ -41,24 +46,44 @@ func (b *Bus) Map(base uint32, dev Device) error {
 		return fmt.Errorf("soc: %s at %#x overflows address space", dev.Name(), base)
 	}
 	for _, r := range b.regions {
-		rEnd := uint64(r.base) + uint64(r.dev.Size())
+		rEnd := uint64(r.base) + uint64(r.size)
 		if uint64(base) < rEnd && end > uint64(r.base) {
 			return fmt.Errorf("soc: %s at %#x overlaps %s at %#x", dev.Name(), base, r.dev.Name(), r.base)
 		}
 	}
-	b.regions = append(b.regions, region{base, dev})
+	b.regions = append(b.regions, region{base, dev.Size(), dev})
 	sort.Slice(b.regions, func(i, j int) bool { return b.regions[i].base < b.regions[j].base })
 	return nil
 }
 
+// find returns the region holding addr, trying the last hit first (any
+// index is only a guess, so Map may reorder regions under it).
+// addr-base wraps past size when addr lies below base, so one unsigned
+// compare tests both ends of a region.
 func (b *Bus) find(addr uint32) (*region, error) {
+	if b.last < len(b.regions) {
+		if r := &b.regions[b.last]; addr-r.base < r.size {
+			return r, nil
+		}
+	}
 	for i := range b.regions {
-		r := &b.regions[i]
-		if addr >= r.base && addr-r.base < r.dev.Size() {
+		if r := &b.regions[i]; addr-r.base < r.size {
+			b.last = i
 			return r, nil
 		}
 	}
 	return nil, fmt.Errorf("soc: bus fault at %#x", addr)
+}
+
+// RAMWindow implements riscv.RAMWindow: the lowest-based RAM on the
+// bus, whose bytes the core may then read and write directly.
+func (b *Bus) RAMWindow() (uint32, []byte) {
+	for _, r := range b.regions {
+		if ram, ok := r.dev.(*RAM); ok {
+			return r.base, ram.data
+		}
+	}
+	return 0, nil
 }
 
 // Read32 implements riscv.Bus. Unaligned word reads are assembled from
@@ -153,4 +178,7 @@ func (b *Bus) Write8(addr uint32, v uint8) error {
 	return r.dev.Write32(word, nv)
 }
 
-var _ riscv.Bus = (*Bus)(nil)
+var (
+	_ riscv.Bus       = (*Bus)(nil)
+	_ riscv.RAMWindow = (*Bus)(nil)
+)
